@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro import (CpprEngine, ExhaustiveTimer, Netlist, TimingAnalyzer,
                    TimingConstraints, TimingGraph)
 from repro.workloads import suggest_clock_period
@@ -80,6 +82,52 @@ def random_small(seed: int, **overrides
     params.update(overrides)
     graph = random_design(RandomDesignSpec(**params))
     period = suggest_clock_period(graph, utilization=0.9)
+    return graph, TimingConstraints(period)
+
+
+def quantized_design(seed: int, num_ffs: int = 8, num_gates: int = 20
+                     ) -> tuple[TimingGraph, TimingConstraints]:
+    """A small random design whose delays sit on a coarse 0.25 grid.
+
+    Every delay is a small multiple of 0.25, so all arrival sums are
+    exact in binary floating point and many distinct paths share the
+    very same slack: the tie-heavy regime in which report order is set
+    only by the engine's tie-breaking, not by the delays.
+    """
+    rng = random.Random(seed)
+
+    def delays(lo: int = 1) -> tuple[float, float]:
+        early = 0.25 * rng.randint(lo, 4)
+        return early, early + 0.25 * rng.randint(0, 2)
+
+    netlist = Netlist(f"quantized{seed}")
+    netlist.set_clock_root("clk")
+    for top in ("c0", "c1"):
+        netlist.add_clock_buffer(top, "clk", *delays())
+        for leaf in ("a", "b"):
+            netlist.add_clock_buffer(top + leaf, top, *delays())
+    leaves = ["c0a", "c0b", "c1a", "c1b"]
+    pool = [netlist.add_primary_input("in0", 0.0, 0.5)]
+    ff_names = [f"ff{i}" for i in range(num_ffs)]
+    for i, name in enumerate(ff_names):
+        netlist.add_flipflop(name, t_setup=0.25, t_hold=0.25,
+                             clk_to_q=(0.25, 0.5))
+        netlist.connect_clock(name, leaves[i % len(leaves)], *delays())
+        pool.append(f"{name}/Q")
+    for i in range(num_gates):
+        # Mostly recent drivers: deep reconvergent cones, many paths.
+        window = pool[-6:] if rng.random() < 0.7 else pool
+        drivers = rng.sample(window, min(len(window), rng.randint(1, 3)))
+        gate = netlist.add_gate(f"g{i}", len(drivers),
+                                [delays() for _ in drivers])
+        for index, driver in enumerate(drivers):
+            netlist.connect(driver, gate.input_pin(index), *delays(0))
+        pool.append(gate.output_pin)
+    for name in ff_names:
+        driver = pool[rng.randrange(len(pool) // 2, len(pool))]
+        netlist.connect(driver, f"{name}/D", *delays(0))
+    graph = netlist.elaborate()
+    period = 0.25 * max(1, round(4 * suggest_clock_period(graph, 0.9)))
     return graph, TimingConstraints(period)
 
 
