@@ -48,7 +48,7 @@ paper's ``at_auto``), so the deviation search in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.circuit.graph import TimingGraph
@@ -86,7 +86,8 @@ class DualArrivalArrays:
     precomputed deviation-cost columns
     (:class:`repro.core.propagate.FastDeviation`) when an array-based
     producer built this instance; the scalar backend leaves it
-    ``None``.
+    ``None``.  ``empty`` caches ``mode.empty_time`` so per-pin queries
+    never go through the enum property.
     """
 
     mode: AnalysisMode
@@ -97,11 +98,15 @@ class DualArrivalArrays:
     from1: list[int]
     group1: list[int]
     fast: object | None = None
+    empty: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.empty = self.mode.empty_time
 
     def auto(self, pin: int,
              excluded_group: int) -> tuple[float, int, int] | None:
         """``at_auto(pin, gid)``: best arrival whose group != ``gid``."""
-        empty = self.mode.empty_time
+        empty = self.empty
         if self.time0[pin] == empty:
             return None
         if self.group0[pin] != excluded_group:
@@ -112,7 +117,7 @@ class DualArrivalArrays:
 
     def best(self, pin: int) -> tuple[float, int, int] | None:
         """The unconditional best tuple at ``pin`` (``at(pin)``)."""
-        if self.time0[pin] == self.mode.empty_time:
+        if self.time0[pin] == self.empty:
             return None
         return (self.time0[pin], self.from0[pin], self.group0[pin])
 
@@ -122,18 +127,23 @@ class SingleArrivalArrays:
     """Single-tuple storage for the ungrouped passes.
 
     ``fast`` is the array backend's precomputed deviation-cost column,
-    or ``None`` from the scalar backend.
+    or ``None`` from the scalar backend; ``empty`` caches
+    ``mode.empty_time`` as on the dual arrays.
     """
 
     mode: AnalysisMode
     time: list[float]
     from_pin: list[int]
     fast: object | None = None
+    empty: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.empty = self.mode.empty_time
 
     def auto(self, pin: int,
              excluded_group: int) -> tuple[float, int, int] | None:
         """Same interface as the dual arrays; the group is ignored."""
-        if self.time[pin] == self.mode.empty_time:
+        if self.time[pin] == self.empty:
             return None
         return (self.time[pin], self.from_pin[pin], NO_GROUP)
 

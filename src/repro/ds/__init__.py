@@ -3,9 +3,6 @@
 This package contains from-scratch implementations of the data structures
 the paper relies on:
 
-* :class:`~repro.ds.minmax_heap.MinMaxHeap` — a double-ended priority queue
-  used by Algorithms 5 and 6 to generate and select paths while keeping the
-  live path set bounded by ``k`` (the paper's ``O(T(n+k)+kp)`` space bound).
 * :class:`~repro.ds.binary_lifting.AncestorTable` — binary-lifting ancestor
   and LCA queries over the clock tree (``f_d(u)`` and ``LCA(u, v)`` from the
   paper's Table I).
@@ -17,13 +14,11 @@ the paper relies on:
 
 from repro.ds.binary_lifting import AncestorTable
 from repro.ds.bounded import TopK
-from repro.ds.minmax_heap import MinMaxHeap
 from repro.ds.topo import CycleError, longest_path_levels, topological_order
 
 __all__ = [
     "AncestorTable",
     "CycleError",
-    "MinMaxHeap",
     "TopK",
     "longest_path_levels",
     "topological_order",

@@ -49,7 +49,7 @@ def _cache_traffic(profile: Profile) -> dict[str, dict[str, int]]:
             if name.endswith(tail):
                 stats.setdefault(name[:-len(tail)], {})[suffix] = value
                 break
-    # A lone ``.evict`` counter (heap.evict, topk.evict) is not a cache;
+    # A lone ``.evict`` counter (topk.evict) is not a cache;
     # only prefixes with lookup traffic qualify.
     return {prefix: row for prefix, row in stats.items()
             if "hit" in row or "miss" in row}

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+from heapq import heappush
+
 import pytest
 
+from repro import CpprEngine, CpprOptions, TimingAnalyzer
+from repro.cppr import deviation
 from repro.cppr.deviation import CaptureSeed, run_topk
 from repro.cppr.propagation import Seed, propagate_single
 from repro.exceptions import AnalysisError
+from repro.obs import collecting
 from repro.sta.modes import AnalysisMode
+from repro.workloads.suite import build_design
 from tests.helpers import demo_netlist, random_small
+
+UNBOUNDED = 10**6
 
 
 def simple_search(graph, mode, k, heap_capacity=None):
@@ -100,3 +108,58 @@ class TestSearch:
                 results = simple_search(graph, mode, 20)
                 slacks = [r.slack for r in results]
                 assert slacks == sorted(slacks)
+
+
+@pytest.fixture
+def live_peak(monkeypatch):
+    """Record the largest live heap any search reaches (after a push)."""
+    peak = [0]
+
+    def spy(heap, entry):
+        heappush(heap, entry)
+        peak[0] = max(peak[0], len(heap))
+
+    monkeypatch.setattr(deviation, "heappush", spy)
+    return peak
+
+
+def _report(paths):
+    return [(p.slack, p.pins, p.family, p.level, p.credit) for p in paths]
+
+
+class TestSpaceBound:
+    """Algorithm 5 / Theorem 2: the live path set stays ``O(k)``.
+
+    The heap is cut back to the ``remaining`` best entries whenever it
+    reaches ``2·remaining``, so no search ever holds more than
+    ``2·capacity`` entries; and the cut never changes a report.
+    """
+
+    def test_random_small_within_twice_capacity(self, live_peak):
+        for seed in range(10):
+            graph, _constraints = random_small(seed)
+            for mode in AnalysisMode:
+                for k in (1, 2, 5, 8):
+                    live_peak[0] = 0
+                    simple_search(graph, mode, k)
+                    assert live_peak[0] <= 2 * k, (seed, mode, k)
+
+    def test_random_small_unbounded_capacity_identical(self):
+        for seed in range(10):
+            graph, _constraints = random_small(seed)
+            for mode in AnalysisMode:
+                for k in (1, 5, 20):
+                    assert simple_search(graph, mode, k) == simple_search(
+                        graph, mode, k, heap_capacity=UNBOUNDED)
+
+    @pytest.mark.parametrize("mode", ["setup", "hold"])
+    def test_suite_design_k500(self, live_peak, mode):
+        analyzer = TimingAnalyzer(*build_design("vga_lcdv2"))
+        with collecting():
+            engine = CpprEngine(analyzer)
+            bounded = engine.top_paths(500, mode)
+        assert 500 < live_peak[0] <= 1000
+        assert engine.last_profile.counter("heap.prune") > 0
+        unbounded = CpprEngine(analyzer, CpprOptions(
+            heap_capacity=UNBOUNDED)).top_paths(500, mode)
+        assert _report(unbounded) == _report(bounded)
