@@ -224,11 +224,12 @@ def run_ablation(args) -> None:
 
     bounded = CpprEngine(analyzer)
     unbounded = CpprEngine(analyzer, CpprOptions(heap_capacity=1_000_000))
+    bounded.top_slacks(k, "setup")  # one-time builds out of both timings
     b_s, b_m = _measure(lambda: bounded.top_slacks(k, "setup"),
                         timer=bounded)
     u_s, u_m = _measure(lambda: unbounded.top_slacks(k, "setup"),
                         timer=unbounded)
-    lines += ["## A2 — bounded min-max heap (Algorithm 5)", "",
+    lines += ["## A2 — bounded search heap (Algorithm 5)", "",
               "| variant | RT(s) | peak MiB |", "|---|---:|---:|",
               f"| heap capacity = k | {b_s:.3f} | {b_m:.1f} |",
               f"| heap unbounded | {u_s:.3f} | {u_m:.1f} |", ""]

@@ -1,8 +1,9 @@
 """Ablation benchmarks for this implementation's own design choices.
 
-* **A2 — bounded min-max heap**: Algorithm 5 keeps at most ``k`` live
-  paths by evicting the max; disabling the bound (a huge capacity) shows
-  the memory the min-max heap saves without changing results.
+* **A2 — bounded search heap**: Algorithm 5 keeps at most ``2k`` live
+  paths by rejecting entries past a threshold and pruning the heap to
+  its best ``remaining`` entries; disabling the bound (a huge capacity)
+  shows the memory the bound saves without changing results.
 * **A3 — binary lifting**: ``f_d(u)``/LCA queries via the precomputed
   tables versus naive parent-walking.
 * **A4 — level parallelism**: serial versus process executor at a fixed

@@ -12,10 +12,11 @@ overhead analytically instead:
    guard cost is under 5% of the measured uninstrumented query time.
 
 The guard-site count distinguishes the two instrumentation styles:
-heap/topk operations check the guard per event, while the hot
-deviation/propagation loops keep counters in locals and flush with one
-guarded ``add()`` per pass — so their (large) counter values contribute
-no per-unit guards, only a bounded number of flushes.
+``TopK`` operations check the guard per event, while the hot
+deviation/propagation loops (the search heap's ``heap.*`` tallies
+included) keep counters in locals and flush with one guarded ``add()``
+per pass — so their (large) counter values contribute no per-unit
+guards, only a bounded number of flushes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.obs import collector as _obs
 from tests.helpers import random_small
 
 #: Counters whose guard really runs once per counted unit.
-PER_EVENT_PREFIXES = ("heap.", "topk.")
+PER_EVENT_PREFIXES = ("topk.",)
 #: Guard checks charged per site — generous: each site is one or two
 #: ``ACTIVE`` lookups in the disabled path.
 CHECKS_PER_SITE = 3
