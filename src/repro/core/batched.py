@@ -103,30 +103,6 @@ __all__ = ["BatchedLevels", "propagate_dual_batched",
 _INF = float("inf")
 
 
-class _LazyColumn:
-    """Scalar access into one row of a batched state matrix.
-
-    The fallback columns (``time1``/``from1``/``group1``) are consulted
-    only when an ``auto()`` query's excluded group matches the pin's
-    primary group — the rare case by design of the dual tuples — so
-    eagerly converting the whole row with ``tolist`` (as the hot
-    primary columns do) would cost more than every access it serves.
-    ``.item()`` converts one element per query into the same Python
-    scalar a list would have held.
-    """
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: np.ndarray) -> None:
-        self.row = row
-
-    def __getitem__(self, i):
-        return self.row[i].item()
-
-    def __len__(self) -> int:
-        return len(self.row)
-
-
 class BatchedLevels:
     """The batched sweep's result: per-level views over shared matrices.
 
@@ -136,8 +112,8 @@ class BatchedLevels:
     :meth:`arrays` materializes one row as the
     :class:`~repro.cppr.propagation.DualArrivalArrays` the deviation
     search consumes: the hot primary/cost columns as plain lists, the
-    rarely-touched fallback columns as :class:`_LazyColumn` views (the
-    fanin CSR columns are shared across levels).
+    rarely-touched fallback columns as ``memoryview`` rows (the fanin
+    CSR columns are shared across levels).
     """
 
     __slots__ = ("mode", "num_levels", "groupings", "seed_counts",
@@ -176,8 +152,13 @@ class BatchedLevels:
         The primary and cost columns the search touches on every edge
         or walk pin are eagerly converted to lists; the fallback
         columns are consulted only on an ``auto()`` group-exclusion
-        miss — rare by design of the dual tuples — where a lazy
-        per-element view is cheaper than the up-front ``tolist``.
+        miss — rare by design of the dual tuples — where a per-element
+        read is cheaper than the up-front ``tolist``.  They are served
+        as ``memoryview`` rows: indexing one yields the same Python
+        float or int a list would hold, at about the cost of a list
+        read.  The views pin their matrices, so the result is meant to
+        live for one family pass (it does not pickle); a shared-memory
+        segment under them is released only after the pass drops it.
         """
         from repro.cppr.propagation import DualArrivalArrays
 
@@ -189,9 +170,9 @@ class BatchedLevels:
             self.time0[level].tolist(),
             self.from0[level].tolist(),
             self.group0[level].tolist(),
-            _LazyColumn(self.time1[level]),
-            _LazyColumn(self.from1[level]),
-            _LazyColumn(self.group1[level]),
+            memoryview(self.time1[level]),
+            memoryview(self.from1[level]),
+            memoryview(self.group1[level]),
             fast=fast)
 
 

@@ -27,6 +27,16 @@ honours the excluded group) and ungrouped passes supply
 :class:`~repro.cppr.propagation.SingleArrivalArrays`.  The search reads
 their columns directly rather than calling ``auto()`` per pin.
 
+A family may pass a ``keep`` test (paper Algorithm 6's responsibility
+test, see :mod:`repro.cppr.select`).  The search still pops exactly
+``k`` paths and expands each one as before, so the heap, the edges
+explored and the tie order do not depend on it; only the popped paths
+``keep`` accepts are materialized into pin lists.  The expansion walk of
+a popped path follows the same ``from`` pointers as the final leg of
+:func:`_materialize`, so the pin where it stops is the path's launch pin
+``pins[0]``, and the test costs no extra walk.  The ``k``-th pop is not
+expanded; it is materialized and tested on its first pin.
+
 When the arrival arrays were produced by the array backend they carry a
 :class:`~repro.core.propagate.FastDeviation` in their ``fast`` slot:
 per-edge deviation costs precomputed in one vectorized pass over the
@@ -41,10 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush, nsmallest
+from typing import Callable
 
 from repro.circuit.graph import TimingGraph
 from repro.cppr.propagation import DualArrivalArrays, SingleArrivalArrays
 from repro.cppr.tuples import NO_GROUP
+from repro.cppr.types import CandidateList
 from repro.exceptions import AnalysisError
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
@@ -109,14 +121,21 @@ def _prune(heap: list, keep: int) -> float:
 def run_topk(graph: TimingGraph,
              arrays: DualArrivalArrays | SingleArrivalArrays,
              seeds: list[CaptureSeed], k: int, mode: AnalysisMode,
-             heap_capacity: int | None = None) -> list[SearchResult]:
-    """Report up to ``k`` paths in non-decreasing ranking-slack order.
+             heap_capacity: int | None = None,
+             keep: Callable[[int, CaptureSeed], bool] | None = None
+             ) -> CandidateList:
+    """Pop up to ``k`` paths in non-decreasing ranking-slack order.
 
     ``seeds`` hold the best path per capture point; deviations generate
     every other path lazily.  ``heap_capacity`` is the number of entries
     a prune keeps before any path is reported, so the live heap stays
     within twice it.  It defaults to ``k`` (always sufficient; see module
     docstring) but may be raised for the unbounded-heap ablation study.
+
+    ``keep(launch_pin, seed)`` decides which popped paths are returned;
+    ``None`` keeps all of them.  The result carries the slack of the
+    ``k``-th pop as its ``boundary`` and the number of pops as
+    ``popped`` (see :class:`~repro.cppr.types.CandidateList`).
     """
     if k < 1:
         raise AnalysisError(f"k must be at least 1, got {k}")
@@ -170,17 +189,23 @@ def run_topk(graph: TimingGraph,
     seed_pushes = seq
     seed_rejects = rejected
 
-    results: list[SearchResult] = []
+    results = CandidateList()
+    popped = 0
     while heap:
         slack, _seq, pin, devlist, origin = heappop(heap)
         group = origin.group
-        results.append(SearchResult(
-            slack, _materialize(graph, columns, empty, origin.capture_pin,
-                                group, devlist),
-            origin.capture_pin, origin.capture_ff))
-        if len(results) == k:
+        popped += 1
+        if popped == k:
+            # The last pop is not expanded, so its launch pin comes
+            # from the materialized path itself.
+            results.boundary = slack
+            pins = _materialize(graph, columns, empty, origin.capture_pin,
+                                group, devlist)
+            if keep is None or keep(pins[0], origin):
+                results.append(SearchResult(slack, pins, origin.capture_pin,
+                                            origin.capture_ff))
             break
-        remaining = capacity - len(results)
+        remaining = capacity - popped
         cut = 2 * remaining
 
         # Enumerate one-edge deviations along the path's backward walk
@@ -257,13 +282,20 @@ def run_topk(graph: TimingGraph,
             if from_pin < 0 or is_clock_pin[from_pin]:
                 break
             pin = from_pin
+        # The walk stopped at the path's launch pin.
+        if keep is None or keep(pin, origin):
+            results.append(SearchResult(
+                slack, _materialize(graph, columns, empty,
+                                    origin.capture_pin, group, devlist),
+                origin.capture_pin, origin.capture_ff))
 
+    results.popped = popped
     if counting:
         col.add("deviation.seeds", len(seeds))
         col.add("deviation.edges_explored", edges_explored)
         col.add("deviation.edges_generated",
                 seq - seed_pushes + rejected - seed_rejects)
-        col.add("deviation.paths_reported", len(results))
+        col.add("deviation.paths_reported", popped)
         # Zero tallies are skipped so an untouched outcome never mints
         # a counter name.
         for name, count in (("heap.push", seq), ("heap.reject", rejected),

@@ -3,9 +3,10 @@
 :class:`CpprEngine` orchestrates the whole analysis: it generates top-k
 path candidates for every clock-tree level (Definitions 3-4), for
 self-loops (Definition 5) and for primary inputs (Definition 6) —
-``D + 2`` independent passes, optionally in parallel — then reduces the
-``<= k(D+2)`` candidates to the global top-``k`` post-CPPR critical paths
-with ``selectTopPaths`` (Algorithm 6).
+``D + 2`` independent passes, optionally in parallel, each keeping only
+the paths it is responsible for — then reduces the ``<= k(D+2)``
+candidates to the global top-``k`` post-CPPR critical paths with
+``selectTopPaths`` (Algorithm 6).
 
 Example::
 
@@ -446,9 +447,15 @@ class CpprEngine:
 
     def candidate_paths(self, k: int, mode: AnalysisMode | str,
                         corner: str | None = None) -> list[TimingPath]:
-        """All family candidates (up to ``k (D + 2)`` paths), unselected.
+        """All family candidates (at most ``k (D + 2)`` paths), unselected.
 
-        With corners configured, ``corner`` names which corner's
+        Each family pops its ``k`` best paths and keeps only those it is
+        responsible for (Algorithm 6's test, applied at pop time: a
+        level-``d`` path whose LCA depth is exactly ``d``, a true
+        self-loop, any PI or output path), so every candidate here
+        already carries its exact post-CPPR slack and the list is
+        usually much shorter than ``k (D + 2)``; :meth:`top_paths`
+        reduces it to the global top-``k``.  With corners configured, ``corner`` names which corner's
         candidates to return (the underlying generation is always the
         fused all-corner run).  Exposed for tests and ablations; most
         callers want :meth:`top_paths`.

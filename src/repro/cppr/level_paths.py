@@ -9,6 +9,13 @@ ranked by the d-pessimism-removed slack
 The launch credit is folded into the Q-pin seed arrival — subtracted for
 setup (a *later* launch looks worse, so removing pessimism pulls the
 launch earlier) and added for hold — exactly Algorithm 2 lines 4 and 6.
+
+The pass returns only the paths it is responsible for: those whose
+launch/capture LCA depth is exactly ``d`` (Algorithm 6 line 5).  The
+search pops ``k`` paths as before and tests each popped path's launch
+flip-flop before materializing it; launch and capture lie in different
+``f_{d+1}`` groups, so the LCA depth is ``d`` exactly when the two groups
+share their parent.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from repro.cppr.deviation import CaptureSeed, run_topk
 from repro.cppr.grouping import group_for_level
 from repro.cppr.propagation import Seed, propagate_dual
-from repro.cppr.types import PathFamily, TimingPath
+from repro.cppr.types import CandidateList, PathFamily, TimingPath
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
@@ -28,8 +35,13 @@ def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
                    mode: AnalysisMode | str,
                    heap_capacity: int | None = None,
                    backend: str = "scalar",
-                   batch=None) -> list[TimingPath]:
-    """Top-``k`` level-``level`` path candidates, best slack first.
+                   batch=None) -> CandidateList:
+    """Level-``level`` candidates among the top ``k``, best slack first.
+
+    Of the ``k`` best paths by d-pessimism-removed slack, returns those
+    whose LCA depth is exactly ``level``; the result's ``boundary`` is
+    the slack of the ``k``-th (see
+    :class:`~repro.cppr.types.CandidateList`).
 
     Runs one grouped forward pass (``O(n)``) plus the deviation search
     (``O(k log k)`` heap work along paths), matching the per-level cost in
@@ -48,7 +60,7 @@ def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
 
 def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
                     mode: AnalysisMode | str, heap_capacity: int | None,
-                    backend: str, batch=None) -> list[TimingPath]:
+                    backend: str, batch=None) -> CandidateList:
     mode = AnalysisMode.coerce(mode)
     graph = analyzer.graph
     tree = graph.clock_tree
@@ -59,7 +71,7 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
         if not batch.num_seeds(level):
             # Mirrors the empty-seed early return below: a standalone
             # pass would not have propagated either.
-            return []
+            return CandidateList()
         with _obs.span("propagate.slice"):
             arrays = batch.arrays(level)
     else:
@@ -79,7 +91,7 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
                               grouping.group[ff.index]))
 
         if not seeds:
-            return []
+            return CandidateList()
         with _obs.span("propagate"):
             arrays = propagate_dual(graph, mode, seeds, backend)
 
@@ -99,17 +111,25 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
         capture_seeds.append(
             CaptureSeed(slack, ff.d_pin, capture_group, ff.index))
 
+    group = grouping.group
+    parent = tree.parent
+    ff_of_q_pin = graph.ff_of_q_pin
+
+    def keep(launch_pin: int, seed: CaptureSeed) -> bool:
+        return parent(group[ff_of_q_pin[launch_pin]]) == parent(seed.group)
+
     with _obs.span("search"):
         results = run_topk(graph, arrays, capture_seeds, k, mode,
-                           heap_capacity)
+                           heap_capacity, keep)
 
-    paths = []
+    paths = CandidateList(boundary=results.boundary, popped=results.popped)
     for result in results:
-        launch_ff = graph.ff_of_q_pin[result.pins[0]]
+        launch_ff = ff_of_q_pin[result.pins[0]]
         paths.append(TimingPath(
             mode=mode, family=PathFamily.LEVEL, slack=result.slack,
             credit=grouping.launch_offset[launch_ff], pins=result.pins,
             launch_ff=launch_ff, capture_ff=result.capture_ff,
             level=level))
-    _obs.add("candidates.produced.level", len(paths))
+    _obs.add("candidates.produced.level", results.popped)
+    _obs.add("candidates.dropped.level", results.popped - len(paths))
     return paths

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.cppr.deviation import CaptureSeed, run_topk
 from repro.cppr.propagation import Seed, propagate_single
-from repro.cppr.types import PathFamily, TimingPath
+from repro.cppr.types import CandidateList, PathFamily, TimingPath
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
@@ -26,8 +26,11 @@ __all__ = ["output_paths"]
 def output_paths(analyzer: TimingAnalyzer, k: int,
                  mode: AnalysisMode | str,
                  heap_capacity: int | None = None,
-                 backend: str = "scalar") -> list[TimingPath]:
-    """Top-``k`` paths ending at constrained primary outputs."""
+                 backend: str = "scalar") -> CandidateList:
+    """Top-``k`` paths ending at constrained primary outputs.
+
+    Every popped path is kept: output tests carry no pessimism.
+    """
     with _obs.span("output"):
         return _output_paths(analyzer, k, mode, heap_capacity, backend)
 
@@ -35,7 +38,7 @@ def output_paths(analyzer: TimingAnalyzer, k: int,
 def _output_paths(analyzer: TimingAnalyzer, k: int,
                   mode: AnalysisMode | str,
                   heap_capacity: int | None,
-                  backend: str) -> list[TimingPath]:
+                  backend: str) -> CandidateList:
     mode = AnalysisMode.coerce(mode)
     graph = analyzer.graph
     tree = graph.clock_tree
@@ -54,7 +57,7 @@ def _output_paths(analyzer: TimingAnalyzer, k: int,
                    if (po.rat_late if mode.is_setup else po.rat_early)
                    is not None]
     if not seeds or not capture_pos:
-        return []
+        return CandidateList()
     with _obs.span("propagate"):
         arrays = propagate_single(graph, mode, seeds, backend)
 
@@ -73,10 +76,12 @@ def _output_paths(analyzer: TimingAnalyzer, k: int,
         results = run_topk(graph, arrays, capture_seeds, k, mode,
                            heap_capacity)
 
-    paths = [TimingPath(mode=mode, family=PathFamily.OUTPUT,
-                        slack=result.slack, credit=0.0, pins=result.pins,
-                        launch_ff=graph.ff_of_q_pin.get(result.pins[0]),
-                        capture_ff=None)
-             for result in results]
+    paths = CandidateList(
+        (TimingPath(mode=mode, family=PathFamily.OUTPUT,
+                    slack=result.slack, credit=0.0, pins=result.pins,
+                    launch_ff=graph.ff_of_q_pin.get(result.pins[0]),
+                    capture_ff=None)
+         for result in results),
+        boundary=results.boundary)
     _obs.add("candidates.produced.output", len(paths))
     return paths

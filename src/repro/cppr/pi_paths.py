@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.cppr.deviation import CaptureSeed, run_topk
 from repro.cppr.propagation import Seed, propagate_single
-from repro.cppr.types import PathFamily, TimingPath
+from repro.cppr.types import CandidateList, PathFamily, TimingPath
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
@@ -21,8 +21,11 @@ def primary_input_paths(analyzer: TimingAnalyzer, k: int,
                         mode: AnalysisMode | str,
                         heap_capacity: int | None = None,
                         backend: str = "scalar",
-                        arrays=None) -> list[TimingPath]:
+                        arrays=None) -> CandidateList:
     """Top-``k`` primary-input path candidates, best slack first.
+
+    Every popped path is kept: a primary-input launch is always this
+    family's responsibility.
 
     ``arrays`` optionally supplies this family's already-propagated
     :class:`~repro.cppr.propagation.SingleArrivalArrays` (an incremental
@@ -36,7 +39,7 @@ def primary_input_paths(analyzer: TimingAnalyzer, k: int,
 def _primary_input_paths(analyzer: TimingAnalyzer, k: int,
                          mode: AnalysisMode | str,
                          heap_capacity: int | None,
-                         backend: str, arrays=None) -> list[TimingPath]:
+                         backend: str, arrays=None) -> CandidateList:
     mode = AnalysisMode.coerce(mode)
     graph = analyzer.graph
     tree = graph.clock_tree
@@ -47,11 +50,11 @@ def _primary_input_paths(analyzer: TimingAnalyzer, k: int,
                       pi.at_late if mode.is_setup else pi.at_early)
                  for pi in graph.primary_inputs]
         if not seeds:
-            return []
+            return CandidateList()
         with _obs.span("propagate"):
             arrays = propagate_single(graph, mode, seeds, backend)
     elif not graph.primary_inputs:
-        return []
+        return CandidateList()
 
     capture_seeds = []
     for ff in graph.ffs:
@@ -70,9 +73,11 @@ def _primary_input_paths(analyzer: TimingAnalyzer, k: int,
         results = run_topk(graph, arrays, capture_seeds, k, mode,
                            heap_capacity)
 
-    paths = [TimingPath(mode=mode, family=PathFamily.PRIMARY_INPUT,
-                        slack=result.slack, credit=0.0, pins=result.pins,
-                        launch_ff=None, capture_ff=result.capture_ff)
-             for result in results]
+    paths = CandidateList(
+        (TimingPath(mode=mode, family=PathFamily.PRIMARY_INPUT,
+                    slack=result.slack, credit=0.0, pins=result.pins,
+                    launch_ff=None, capture_ff=result.capture_ff)
+         for result in results),
+        boundary=results.boundary)
     _obs.add("candidates.produced.primary_input", len(paths))
     return paths

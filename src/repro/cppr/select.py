@@ -5,18 +5,21 @@ only for the paths the family is *responsible* for: level-``d`` candidates
 whose launch/capture LCA depth is exactly ``d``, self-loop candidates that
 really are self-loops, and all PI/OUTPUT candidates.  Everything else is a
 duplicate covered by another family (with an over-credited, i.e. larger,
-slack) and is discarded here — lines 5 and 8 of Algorithm 6.
+slack).  Algorithm 6 discards those in lines 5 and 8; here the families
+apply that test themselves as each path is popped, before it is
+materialized (see :func:`~repro.cppr.deviation.run_topk`), so every
+candidate reaching this module is already one its family answers for.
 
-The survivors are reduced to the global top-``k`` with a bounded best-k
-heap; by the paper's correctness theorem the result is exactly the global
-top-``k`` post-CPPR critical paths.
+What remains is the reduction to the global top-``k`` with a bounded
+best-k heap; by the paper's correctness theorem the result is exactly the
+global top-``k`` post-CPPR critical paths.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.cppr.types import PathFamily, TimingPath
+from repro.cppr.types import TimingPath
 from repro.ds.bounded import TopK
 from repro.obs import collector as _obs
 from repro.sta.timing import TimingAnalyzer
@@ -30,44 +33,25 @@ def select_top_paths(analyzer: TimingAnalyzer,
     """Reduce all family candidates to the global top-``k`` paths.
 
     Returns paths sorted by post-CPPR slack (most critical first); ties
-    are broken deterministically by the pin sequence.
+    are broken deterministically by the pin sequence.  ``analyzer`` is
+    unused since the responsibility test moved into the families; it is
+    kept so the call signature stays the same for every caller.
     """
     with _obs.span("select"):
-        return _select_top_paths(analyzer, candidates, k)
+        return _select_top_paths(candidates, k)
 
 
-def _select_top_paths(analyzer: TimingAnalyzer,
-                      candidates: Iterable[TimingPath],
+def _select_top_paths(candidates: Iterable[TimingPath],
                       k: int) -> list[TimingPath]:
-    graph = analyzer.graph
-    tree = graph.clock_tree
-    col = _obs.ACTIVE
-    counting = col is not None
     considered = 0
-    filtered_level = 0
-    filtered_self_loop = 0
     top = TopK(k)
     for path in candidates:
-        if counting:
-            considered += 1
-        if path.family is PathFamily.LEVEL:
-            launch = graph.ffs[path.launch_ff].tree_node
-            capture = graph.ffs[path.capture_ff].tree_node
-            if tree.lca_depth(launch, capture) != path.level:
-                if counting:
-                    filtered_level += 1
-                continue
-        elif path.family is PathFamily.SELF_LOOP:
-            if path.launch_ff != path.capture_ff:
-                if counting:
-                    filtered_self_loop += 1
-                continue
+        considered += 1
         top.offer(path.slack, path)
     selected = [path for _slack, path in top.sorted_items()]
     selected.sort(key=TimingPath.key)
-    if counting:
+    col = _obs.ACTIVE
+    if col is not None:
         col.add("select.considered", considered)
-        col.add("select.filtered.level", filtered_level)
-        col.add("select.filtered.self_loop", filtered_self_loop)
         col.add("select.selected", len(selected))
     return selected

@@ -6,7 +6,9 @@ removed.  The candidate set ranks *every* path by
 ``slack(p, depth(p.lauFF))`` — folding ``credit(lauFF)`` into each launch
 seed — which over-credits non-self-loop paths (their real LCA is an
 ancestor with no larger credit) and therefore never lets them displace a
-true top-k self-loop path; ``selectTopPaths`` later discards them.
+true top-k self-loop path.  The pass pops ``k`` paths by that metric and
+returns only the true self-loops among them (Algorithm 6 line 8, tested
+on each popped path's launch pin before it is materialized).
 
 No grouping or fallback tuples are needed, so this pass uses the single-
 tuple propagation.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from repro.cppr.deviation import CaptureSeed, run_topk
 from repro.cppr.propagation import Seed, propagate_single
-from repro.cppr.types import PathFamily, TimingPath
+from repro.cppr.types import CandidateList, PathFamily, TimingPath
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
@@ -28,8 +30,11 @@ def self_loop_paths(analyzer: TimingAnalyzer, k: int,
                     mode: AnalysisMode | str,
                     heap_capacity: int | None = None,
                     backend: str = "scalar",
-                    arrays=None) -> list[TimingPath]:
-    """Top-``k`` self-loop path candidates, best slack first.
+                    arrays=None) -> CandidateList:
+    """Self-loop paths among the top ``k`` candidates, best slack first.
+
+    The result's ``boundary`` is the slack of the ``k``-th candidate
+    popped (see :class:`~repro.cppr.types.CandidateList`).
 
     ``arrays`` optionally supplies this family's already-propagated
     :class:`~repro.cppr.propagation.SingleArrivalArrays` (an incremental
@@ -45,7 +50,7 @@ def self_loop_paths(analyzer: TimingAnalyzer, k: int,
 def _self_loop_paths(analyzer: TimingAnalyzer, k: int,
                      mode: AnalysisMode | str,
                      heap_capacity: int | None,
-                     backend: str, arrays=None) -> list[TimingPath]:
+                     backend: str, arrays=None) -> CandidateList:
     mode = AnalysisMode.coerce(mode)
     graph = analyzer.graph
     tree = graph.clock_tree
@@ -63,11 +68,11 @@ def _self_loop_paths(analyzer: TimingAnalyzer, k: int,
             seeds.append(Seed(ff.q_pin, q_at, ff.ck_pin))
 
         if not seeds:
-            return []
+            return CandidateList()
         with _obs.span("propagate"):
             arrays = propagate_single(graph, mode, seeds, backend)
     elif not graph.ffs:
-        return []
+        return CandidateList()
 
     capture_seeds = []
     for ff in graph.ffs:
@@ -82,17 +87,22 @@ def _self_loop_paths(analyzer: TimingAnalyzer, k: int,
         capture_seeds.append(
             CaptureSeed(slack, ff.d_pin, capture_ff=ff.index))
 
+    ff_of_q_pin = graph.ff_of_q_pin
+
+    def keep(launch_pin: int, seed: CaptureSeed) -> bool:
+        return ff_of_q_pin[launch_pin] == seed.capture_ff
+
     with _obs.span("search"):
         results = run_topk(graph, arrays, capture_seeds, k, mode,
-                           heap_capacity)
+                           heap_capacity, keep)
 
-    paths = []
+    paths = CandidateList(boundary=results.boundary, popped=results.popped)
     for result in results:
-        launch_ff = graph.ff_of_q_pin[result.pins[0]]
+        ff = result.capture_ff
         paths.append(TimingPath(
             mode=mode, family=PathFamily.SELF_LOOP, slack=result.slack,
-            credit=tree.credit(graph.ffs[launch_ff].tree_node),
-            pins=result.pins, launch_ff=launch_ff,
-            capture_ff=result.capture_ff))
-    _obs.add("candidates.produced.self_loop", len(paths))
+            credit=tree.credit(graph.ffs[ff].tree_node),
+            pins=result.pins, launch_ff=ff, capture_ff=ff))
+    _obs.add("candidates.produced.self_loop", results.popped)
+    _obs.add("candidates.dropped.self_loop", results.popped - len(paths))
     return paths

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from repro.sta.modes import AnalysisMode
 
-__all__ = ["PathFamily", "TimingPath"]
+__all__ = ["CandidateList", "PathFamily", "TimingPath"]
 
 
 class PathFamily(enum.Enum):
@@ -83,3 +83,32 @@ class TimingPath:
     def key(self) -> tuple[float, tuple[int, ...]]:
         """Deterministic sort key: slack first, then the pin sequence."""
         return (self.slack, self.pins)
+
+
+class CandidateList(list):
+    """The paths one top-``k`` search kept, plus where the search stopped.
+
+    A family's search pops up to ``k`` paths but keeps only those the
+    family is responsible for (paper Algorithm 6, applied at pop time),
+    so the list alone does not tell how far the search reached.
+
+    Attributes
+    ----------
+    boundary:
+        The ranking slack of the ``k``-th popped path, or ``inf`` when
+        the search popped fewer than ``k``.  No path the search did not
+        pop ranks strictly below it, which is what an incremental
+        session needs to prove a cached family still exact.
+    popped:
+        How many paths the search popped; ``popped - len(self)`` were
+        dropped by the family's responsibility test.
+
+    A plain ``list`` subclass, so it compares, iterates and pickles like
+    one; the attributes ride along through the process executor.
+    """
+
+    def __init__(self, paths=(), boundary: float = float("inf"),
+                 popped: int | None = None) -> None:
+        super().__init__(paths)
+        self.boundary = boundary
+        self.popped = len(self) if popped is None else popped

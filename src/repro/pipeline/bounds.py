@@ -22,13 +22,14 @@ under both the old and the new delays — via one backward min-sweep:
 during the update batch (old and new), so ``sigma`` bounds the cached
 run and the hypothetical re-run simultaneously.  A cached family whose
 state rows are untouched is then served iff ``sigma`` strictly exceeds
-its k-th cached slack (its *boundary*) — every edit-crossing heap entry
-in either run keys above the boundary, so the first ``k`` pops (and
-their tie-break counters, which only order the identical below-boundary
-entries relative to one another) cannot differ.  A family cached with
-fewer than ``k`` paths has an infinite boundary and is served only when
-``sigma`` is itself infinite (no edited run reaches any capture in the
-row at all).
+the slack of its search's k-th pop (its *boundary*,
+``CandidateList.boundary``) — every edit-crossing heap entry in either
+run keys above the boundary, so the first ``k`` pops (and their
+tie-break counters, which only order the identical below-boundary
+entries relative to one another) cannot differ.  A family whose search
+popped fewer than ``k`` paths has an infinite boundary and is served
+only when ``sigma`` is itself infinite (no edited run reaches any
+capture in the row at all).
 
 The returned bounds shave a relative epsilon (:data:`SIGMA_SLOP`) so
 floating-point rounding along a telescoped path sum can never push a

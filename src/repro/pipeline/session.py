@@ -19,12 +19,13 @@ queries by redoing only the work the edit invalidated —
   flip-flop participates in it, clock-driven time changes left its
   rows untouched, and — for delay edits — the
   :func:`~repro.pipeline.bounds.sigma_min` lower bound on any
-  edit-crossing path's slack strictly clears the family's cached k-th
-  slack (which simultaneously proves every cached slack exact, since a
-  stale cached path would itself cross a run and drag ``sigma`` to or
-  below the boundary);
-* the **select** stage re-runs Algorithm 6 over the (partly cached)
-  candidates and memoizes the answer under the current validity basis.
+  edit-crossing path's slack strictly clears the family's cached
+  boundary, the slack of its search's k-th pop (which simultaneously
+  proves every popped slack exact, since a stale popped path would
+  itself cross a run and drag ``sigma`` to or below the boundary);
+* the **select** stage re-runs Algorithm 6's top-``k`` reduction over
+  the (partly cached) candidates and memoizes the answer under the
+  current validity basis.
 
 Every result is bit-for-bit identical to a fresh
 :class:`~repro.cppr.engine.CpprEngine` on the edited design — the
@@ -432,11 +433,11 @@ class CpprSession:
                 dropped += 1
                 continue
             # Delay-driven changes need no row check at all: every time
-            # change originates at an edited run, so a cached path with
+            # change originates at an edited run, so a popped path with
             # a stale slack would cross a run — and then its old slack
-            # (<= the k-th-slack boundary) itself forces sigma <=
+            # (<= the k-th-pop boundary) itself forces sigma <=
             # boundary.  ``sigma > boundary`` therefore already proves
-            # every cached slack exact AND that no crossing path can
+            # every popped slack exact AND that no crossing path can
             # displace into the top-k; the sigma test below decides.
             if run_vals:
                 survivors.append((key, mode, row, value))
@@ -465,10 +466,10 @@ class CpprSession:
             if item is None:
                 continue
             key, mode, row, value = item
-            k = key[3]
-            boundary = value[k - 1].slack if len(value) >= k else _INF
+            # The slack of the family's k-th *pop*, which its (filtered)
+            # list no longer shows; inf when fewer than k were popped.
             sigma = sigmas[mode][row]
-            if sigma == _INF or sigma > boundary:
+            if sigma == _INF or sigma > value.boundary:
                 self._families.restamp(key, self._basis)
                 kept += 1
             else:
